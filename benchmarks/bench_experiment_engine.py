@@ -2,14 +2,15 @@
 
 Three measurements, honestly labeled for the host they run on:
 
-- **Pool scaling** on a sleep-bound multi-row latency table pushed
-  through the real engine (spawn pool, pipes, timeouts). Row latency is
-  the gating resource, so the fan-out speedup is visible even on a
-  single-core CI box, where CPU-bound rows cannot scale past 1x.
+- **Pool scaling** on a sleep-bound graph of independent row nodes
+  pushed through the real DAG scheduler (spawn pool, pipes, timeouts).
+  Node latency is the gating resource, so the fan-out speedup is visible
+  even on a single-core CI box, where CPU-bound rows cannot scale past
+  1x.
 - **Row memoization** on two representative real tables (westclass and
-  metacat): cold compute vs a warm store read through the disk tier
-  (the in-memory tier is cleared in between). This is the speedup a
-  re-run of an unchanged table gets regardless of core count.
+  metacat): cold compute vs a warm read of the on-disk artifact store.
+  This is the speedup a re-run of an unchanged table gets regardless of
+  core count.
 - The real tables are also run once at ``jobs=4`` and recorded —
   informational on a 1-core host, a second scaling datapoint elsewhere.
 
@@ -24,11 +25,8 @@ import time
 from conftest import write_bench_artifact
 
 from repro.experiments import tables
-from repro.experiments.engine import (
-    RowSpec,
-    clear_memo_memory,
-    run_specs,
-)
+from repro.experiments.dag import ArtifactGraph, DagNode
+from repro.experiments.scheduler import run_graph
 
 # Sleep long enough that the spawn pool's startup (~1-2s of interpreter
 # + import per worker, serialized on a 1-core host) amortizes away.
@@ -41,12 +39,12 @@ def _latency_row(row_seed, seconds):
     return {"slept": seconds}
 
 
-def _latency_specs():
-    return [
-        RowSpec(table="bench-latency", name=f"row{i}", runner=_latency_row,
-                kwargs={"seconds": LATENCY_SLEEP}, static={"Method": f"m{i}"})
-        for i in range(LATENCY_ROWS)
-    ]
+def _latency_graph():
+    graph = ArtifactGraph()
+    for i in range(LATENCY_ROWS):
+        graph.add(DagNode(kind="row", name=f"row{i}", runner=_latency_row,
+                          kwargs={"seconds": LATENCY_SLEEP}))
+    return graph
 
 
 def _timed(fn):
@@ -56,12 +54,13 @@ def _timed(fn):
 
 
 def _bench_latency_table() -> dict:
-    specs = _latency_specs()
+    graph = _latency_graph()
     serial, serial_s = _timed(
-        lambda: run_specs(specs, table_seed=0, jobs=1, use_cache=False))
+        lambda: run_graph(graph, jobs=1, use_cache=False))
     fanned, jobs4_s = _timed(
-        lambda: run_specs(specs, table_seed=0, jobs=4, use_cache=False))
-    assert [r["Method"] for r in fanned] == [r["Method"] for r in serial]
+        lambda: run_graph(graph, jobs=4, use_cache=False))
+    assert ({name: r["metrics"] for name, r in fanned.items()}
+            == {name: r["metrics"] for name, r in serial.items()})
     return {
         "rows": LATENCY_ROWS,
         "row_sleep_seconds": LATENCY_SLEEP,
@@ -76,7 +75,6 @@ def _bench_real_table(name: str, table_fn, cache_root: str) -> dict:
     cold, cold_s = _timed(lambda: _run_cached(table_fn, cache_dir))
     fanned, jobs4_s = _timed(  # pure compute: no memo reads or writes
         lambda: table_fn(seed=0, fast=True, jobs=4, use_cache=False))
-    clear_memo_memory()  # warm run must come from the disk tier
     warm, warm_s = _timed(lambda: _run_cached(table_fn, cache_dir))
     strip = lambda rows: [  # noqa: E731
         {k: v for k, v in r.items() if k != "seconds"} for r in rows]

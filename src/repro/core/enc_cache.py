@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import threading
+import uuid
 from collections import OrderedDict
 from pathlib import Path
 
@@ -158,7 +159,10 @@ class EncodeCache:
             path = self._disk_path(namespace, key)
             if not path.exists():
                 path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp.npz")
+                # A per-writer temporary name: two writers of one key
+                # (replicas warming up on the same document) each
+                # rename a complete file, and the last rename wins.
+                tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp.npz")
                 np.savez(tmp, hidden=value)
                 tmp.replace(path)
 

@@ -88,16 +88,6 @@ def _dag_footer() -> "str | None":
             f"{report.seconds:.1f}s")
 
 
-def _engine_footer() -> "str | None":
-    report = engine.take_last_report()
-    if report is None:
-        return None
-    return (f"\n[engine] rows={report.rows} memo_hits={report.hits} "
-            f"computed={report.misses} errors={report.errors} "
-            f"timeouts={report.timeouts} jobs={report.jobs} "
-            f"{report.seconds:.1f}s")
-
-
 def _cache_prune(seed: int, fast: bool) -> int:
     """Sweep row-memo and DAG-store entries from dead source trees.
 
@@ -208,7 +198,7 @@ def main(argv: "list | None" = None) -> int:
                 fn, description = TABLES[name]
                 rows = fn(seed=args.seed, fast=not args.full, **run_kwargs)
                 print(format_table(rows, title=description))
-                footer = _dag_footer() or _engine_footer()
+                footer = _dag_footer()
                 if footer:
                     print(footer)
     finally:

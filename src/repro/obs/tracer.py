@@ -3,7 +3,7 @@
 A :class:`Tracer` records one run as a flat list of picklable event
 dicts. Spans carry a slash-joined ``path`` (their ancestry at entry), so
 the tree reconstructs from the flat stream without nested JSON; a span
-*name* may itself contain ``/`` (``row:<table>/<row>``), which the
+*name* may itself contain ``/`` (``node:westclass.agnews/PTE``), which the
 report renders as virtual sub-levels. Counters accumulate in a plain
 dict and are emitted once at finalization. All
 timings come from ``time.monotonic()`` and live only in the ``t0``/

@@ -76,8 +76,8 @@ def test_parallel_run_is_bit_identical_to_serial(jobs):
 
 def test_node_seeds_match_the_rowspec_shim():
     # The row node carries derive_row_seed(table_seed, node name) — the
-    # identical seed the legacy RowSpec path derives, which is what makes
-    # DAG output bit-identical to the serial harness.
+    # seed rows were always run with, which is what makes DAG output
+    # bit-identical to the serial harness.
     request = _demo_request()
     for node in request.nodes:
         if node.kind == "row":
@@ -141,7 +141,6 @@ def test_warm_shared_tables_execute_zero_nodes(tmp_path):
     assert report.merged == 1  # corpus:demo declared by both tables
     assert report.executed == report.nodes == 7
 
-    engine.clear_memo_memory()  # reuse must come from the disk tier
     warm = run_requests([_demo_request("t1"), _demo_request("t2")],
                         jobs=4, use_cache=True, cache_dir=tmp_path)
     report = scheduler.take_last_dag_report()
@@ -358,11 +357,10 @@ def test_prune_sweeps_dead_tree_entries(tmp_path):
         {"metrics": {}, "seconds": 0.0}))
     (tmp_path / "broken.json").write_text("{not json")
 
-    assert memo.get("stale") is not None  # loads into the memory tier
+    assert memo.get("stale") is not None
     kept, removed = memo.prune()
     assert (kept, removed) == (1, 3)
-    assert memo.get("stale") is None  # memory tier was popped too
-    engine.clear_memo_memory()
+    assert memo.get("stale") is None
     assert memo.get("live") is not None  # current-tree entry survives
 
 

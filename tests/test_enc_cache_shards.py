@@ -274,6 +274,37 @@ def test_vanished_shard_invalidates_rescan_memo(tmp_path, rng):
     assert reader.rescans == 2
 
 
+# ---------------------------------------------------------------------------
+# Per-document disk tier
+# ---------------------------------------------------------------------------
+
+def test_concurrent_writers_of_one_key_both_land(tmp_path, rng, monkeypatch):
+    # Two replicas warming up on the same document put one key at once.
+    # The second writer runs while the first is inside np.savez: with a
+    # shared temporary name its rename consumed the first writer's tmp
+    # file and the first rename raised FileNotFoundError.
+    first = EncodeCache(disk_dir=tmp_path)
+    second = EncodeCache(disk_dir=tmp_path)
+    value = _doc(rng, 5)
+    savez = np.savez
+    interleaved = []
+
+    def savez_then_race(path, **arrays):
+        savez(path, **arrays)
+        if not interleaved:
+            interleaved.append(path)
+            second.put("ns", "k", value)
+
+    monkeypatch.setattr(np, "savez", savez_then_race)
+    first.put("ns", "k", value)
+    monkeypatch.setattr(np, "savez", savez)
+
+    assert interleaved
+    np.testing.assert_array_equal(
+        EncodeCache(disk_dir=tmp_path).get("ns", "k"), value)
+    assert [p.name for p in (tmp_path / "ns").iterdir()] == ["k.npz"]
+
+
 def test_doc_key_stable_across_dtypes():
     ids32 = np.asarray([1, 2, 3], dtype=np.int32)
     ids64 = np.asarray([1, 2, 3], dtype=np.int64)
